@@ -80,9 +80,8 @@ func registry() []experiment {
 		{"throughput", "parallel-vs-sequential scan throughput sweep → BENCH_<n>.json (+ -baseline compare)", false, (*app).runThroughput},
 		{"soak", "service soak: crash/resume correctness + overload/reload churn → BENCH_<n>.json (+ -baseline compare)", false, (*app).runSoak},
 		{"obs", "tracing overhead: disabled-path allocs, live throughput cost, energy-partition exactness → BENCH_<n>.json (+ -baseline compare)", false, (*app).runObs},
-		{"cluster", "fleet soak: node kills, session migration, coordinated reloads, tenant quotas → BENCH_<n>.json (+ -baseline compare)", false, (*app).runCluster},
 		{"fleetobs", "fleet observability gate: cross-node trace stitching, exact metrics federation, SLO burn-rate alerting, disabled-path allocs → BENCH_<n>.json (+ -baseline compare)", false, (*app).runFleetObs},
-		{"heal", "self-healing soak: gossip membership, replicated checkpoints, kill/join re-placement with NO driver-side migration → BENCH_<n>.json (+ -baseline compare)", false, (*app).runHeal},
+		{"heal", "fleet soak: gossip membership, replicated checkpoints, kill/join re-placement with NO driver-side migration, coordinated publishes, tenant quotas → BENCH_<n>.json (+ -baseline compare)", false, (*app).runHeal},
 		{"rebar", "curated competitive conformance suite: verified per-engine match counts + BVAP-vs-regexp position → BENCH_<n>.json (+ -baseline compare)", false, (*app).runRebar},
 	}
 }
@@ -123,11 +122,6 @@ type app struct {
 	obsDataset       string
 	obsScans         int
 	obsRounds        int
-	clusterDataset   string
-	clusterNodes     int
-	clusterStreams   int
-	clusterKills     int
-	clusterPublishes int
 	fleetobsDataset  string
 	fleetobsNodes    int
 	fleetobsScans    int
@@ -183,15 +177,10 @@ func main() {
 	flag.StringVar(&a.obsDataset, "obs-dataset", "Snort", "dataset for the -exp obs overhead run")
 	flag.IntVar(&a.obsScans, "obs-scans", 32, "timed scans per side per round in -exp obs")
 	flag.IntVar(&a.obsRounds, "obs-rounds", 3, "alternating measurement rounds in -exp obs")
-	flag.StringVar(&a.clusterDataset, "cluster-dataset", "Snort", "dataset for the -exp cluster fleet soak")
-	flag.IntVar(&a.clusterNodes, "cluster-nodes", 3, "in-process nodes in the -exp cluster fleet")
-	flag.IntVar(&a.clusterStreams, "cluster-streams", 6, "concurrent migrating sessions in -exp cluster")
-	flag.IntVar(&a.clusterKills, "cluster-kills", 2, "forced node kills during -exp cluster (capped at nodes-1)")
-	flag.IntVar(&a.clusterPublishes, "cluster-publishes", 2, "coordinated reload rounds during -exp cluster")
 	flag.StringVar(&a.fleetobsDataset, "fleetobs-dataset", "Snort", "dataset for the -exp fleetobs gate")
 	flag.IntVar(&a.fleetobsNodes, "fleetobs-nodes", 3, "in-process nodes in the -exp fleetobs fleet")
 	flag.IntVar(&a.fleetobsScans, "fleetobs-scans", 24, "forced-forward ring-routed scans in -exp fleetobs")
-	flag.StringVar(&a.healDataset, "heal-dataset", "Snort", "dataset for the -exp heal self-healing soak")
+	flag.StringVar(&a.healDataset, "heal-dataset", "Snort", "dataset for the -exp heal fleet soak")
 	flag.IntVar(&a.healNodes, "heal-nodes", 3, "initial in-process nodes in the -exp heal fleet")
 	flag.IntVar(&a.healStreams, "heal-streams", 6, "concurrent sessions in -exp heal")
 	flag.IntVar(&a.healKills, "heal-kills", 1, "forced node kills during -exp heal (capped at nodes-1)")
@@ -485,31 +474,7 @@ func (a *app) runPerf() error {
 	}
 	a.dump.Perf = rep
 	experiments.RenderPerf(os.Stdout, rep)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	return a.archiveBench(rep)
 }
 
 // runThroughput runs the parallel-scan throughput sweep, writes its
@@ -539,31 +504,7 @@ func (a *app) runThroughput() error {
 	}
 	a.dump.Throughput = res
 	experiments.RenderThroughput(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	return a.archiveBench(rep)
 }
 
 // runSoak exercises the long-lived scan service: a checkpoint/resume
@@ -587,31 +528,7 @@ func (a *app) runSoak() error {
 	}
 	a.dump.Soak = res
 	experiments.RenderSoak(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	return a.archiveBench(rep)
 }
 
 // runObs measures the observability layer's own cost: the disabled-path
@@ -633,79 +550,7 @@ func (a *app) runObs() error {
 	}
 	a.dump.Obs = res
 	experiments.RenderObs(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
-}
-
-// runCluster runs the fleet soak: an in-process cluster of bvapd nodes
-// behind a consistent-hash ring, streams migrating across forced node
-// kills via wire checkpoints, rolling coordinated reloads, and a tenant
-// quota pressure phase. The counted exactly-once cell goes into a
-// BENCH-schema report; -baseline compares a previous cluster run.
-func (a *app) runCluster() error {
-	opt := experiments.ClusterSoakOptions{
-		Dataset:   a.clusterDataset,
-		Nodes:     a.clusterNodes,
-		Streams:   a.clusterStreams,
-		Kills:     a.clusterKills,
-		Publishes: a.clusterPublishes,
-		Sample:    a.sample,
-		InputLen:  a.inputLen,
-	}
-	res, rep, err := experiments.ClusterSoak(opt)
-	if err != nil {
-		return err
-	}
-	a.dump.Cluster = res
-	experiments.RenderClusterSoak(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	return a.archiveBench(rep)
 }
 
 // runHeal runs the self-healing soak: gossip membership with a standby
@@ -731,31 +576,7 @@ func (a *app) runHeal() error {
 	}
 	a.dump.Heal = res
 	experiments.RenderHealSoak(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	return a.archiveBench(rep)
 }
 
 // runRebar runs the curated competitive conformance suite: every case's
@@ -780,33 +601,40 @@ func (a *app) runRebar() error {
 	}
 	a.dump.Rebar = res
 	experiments.RenderRebar(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		var perr error
-		out, perr = experiments.NextBenchPath(".")
-		if perr != nil {
-			return perr
-		}
-	}
-	if werr := experiments.WriteBenchReport(out, rep); werr != nil {
-		return werr
-	}
-	fmt.Printf("wrote %s\n", out)
+	aerr := a.archiveBench(rep)
 	if err != nil {
 		return err // count mismatches: non-zero exit after archiving the run
 	}
+	return aerr
+}
 
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
+// archiveBench writes rep to -bench-out (default: the next BENCH_<n>.json
+// in the current directory) and, when -baseline names a previous report,
+// compares the counted metrics and fails on any regression beyond the
+// thresholds.
+func (a *app) archiveBench(rep *experiments.BenchReport) error {
+	out := a.benchOut
+	if out == "" {
+		var err error
+		if out, err = experiments.NextBenchPath("."); err != nil {
 			return err
 		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
+	}
+	if err := experiments.WriteBenchReport(out, rep); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", out)
+	if a.baselinePath == "" {
+		return nil
+	}
+	base, err := experiments.ReadBenchReport(a.baselinePath)
+	if err != nil {
+		return err
+	}
+	regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
+	experiments.RenderRegressions(os.Stdout, regs)
+	if len(regs) > 0 {
+		return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
 	}
 	return nil
 }
@@ -846,53 +674,28 @@ func (a *app) runFleetObs() error {
 	}
 	a.dump.FleetObs = res
 	experiments.RenderFleetObs(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	return a.archiveBench(rep)
 }
 
 // jsonResults is the machine-readable form of a bvapbench run, for plotting
 // the figures outside this repository.
 type jsonResults struct {
-	Fig11      []experiments.Fig11Point       `json:"fig11,omitempty"`
-	Fig12      []experiments.Fig12Point       `json:"fig12,omitempty"`
-	Fig13      []experiments.DSEPoint         `json:"fig13,omitempty"`
-	Table5     []experiments.BestParams       `json:"table5,omitempty"`
-	Fig14      []experiments.Fig14Row         `json:"fig14,omitempty"`
-	Summary    *experiments.Summary           `json:"summary,omitempty"`
-	Ablation   []experiments.AblationRow      `json:"ablation,omitempty"`
-	Stride2    []experiments.Stride2Row       `json:"stride2,omitempty"`
-	Faults     []experiments.FaultsRow        `json:"faults,omitempty"`
-	Perf       *experiments.BenchReport       `json:"perf,omitempty"`
-	Throughput *experiments.ThroughputResult  `json:"throughput,omitempty"`
-	Soak       *experiments.SoakResult        `json:"soak,omitempty"`
-	Obs        *experiments.ObsResult         `json:"obs,omitempty"`
-	Cluster    *experiments.ClusterSoakResult `json:"cluster,omitempty"`
-	FleetObs   *experiments.FleetObsResult    `json:"fleetobs,omitempty"`
-	Heal       *experiments.HealSoakResult    `json:"heal,omitempty"`
-	Rebar      *experiments.RebarResult       `json:"rebar,omitempty"`
+	Fig11      []experiments.Fig11Point      `json:"fig11,omitempty"`
+	Fig12      []experiments.Fig12Point      `json:"fig12,omitempty"`
+	Fig13      []experiments.DSEPoint        `json:"fig13,omitempty"`
+	Table5     []experiments.BestParams      `json:"table5,omitempty"`
+	Fig14      []experiments.Fig14Row        `json:"fig14,omitempty"`
+	Summary    *experiments.Summary          `json:"summary,omitempty"`
+	Ablation   []experiments.AblationRow     `json:"ablation,omitempty"`
+	Stride2    []experiments.Stride2Row      `json:"stride2,omitempty"`
+	Faults     []experiments.FaultsRow       `json:"faults,omitempty"`
+	Perf       *experiments.BenchReport      `json:"perf,omitempty"`
+	Throughput *experiments.ThroughputResult `json:"throughput,omitempty"`
+	Soak       *experiments.SoakResult       `json:"soak,omitempty"`
+	Obs        *experiments.ObsResult        `json:"obs,omitempty"`
+	FleetObs   *experiments.FleetObsResult   `json:"fleetobs,omitempty"`
+	Heal       *experiments.HealSoakResult   `json:"heal,omitempty"`
+	Rebar      *experiments.RebarResult      `json:"rebar,omitempty"`
 }
 
 // parseRates parses the -fault-rates list; an empty string selects the

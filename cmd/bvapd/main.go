@@ -621,16 +621,8 @@ func (d *daemon) handleScan(w http.ResponseWriter, r *http.Request) {
 	if d.nodeID != "" {
 		tr.SetStr("node", d.nodeID)
 	}
-	input, err := io.ReadAll(io.LimitReader(r.Body, d.maxBody+1))
-	if err != nil {
-		tr.SetStr("outcome", "bad_request")
-		d.writeError(w, http.StatusBadRequest, err, "", tr)
-		return
-	}
-	if int64(len(input)) > d.maxBody {
-		tr.SetStr("outcome", "body_too_large")
-		d.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("body exceeds %d bytes", d.maxBody), "", tr)
+	input, ok := d.readBody(w, r, tr)
+	if !ok {
 		return
 	}
 	if tenant := r.Header.Get(cluster.TenantHeader); tenant != "" {
@@ -659,10 +651,27 @@ func (d *daemon) handleScan(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// readBody reads a request body whole. Past -max-body it answers a typed
+// 413 (kind "body_too_large") instead of handing on a truncated prefix;
+// a failed read answers 400. It reports whether the handler may go on.
+func (d *daemon) readBody(w http.ResponseWriter, r *http.Request, tr *tracing.Trace) ([]byte, bool) {
+	body, err := cluster.ReadBody(r.Body, d.maxBody)
+	switch {
+	case errors.Is(err, cluster.ErrBodyTooLarge):
+		tr.SetStr("outcome", "body_too_large")
+		d.writeError(w, http.StatusRequestEntityTooLarge, err, "body_too_large", tr)
+		return nil, false
+	case err != nil:
+		tr.SetStr("outcome", "bad_request")
+		d.writeError(w, http.StatusBadRequest, err, "", tr)
+		return nil, false
+	}
+	return body, true
+}
+
 func (d *daemon) handleReload(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(io.LimitReader(r.Body, d.maxBody))
-	if err != nil {
-		d.writeError(w, http.StatusBadRequest, err, "", nil)
+	raw, ok := d.readBody(w, r, nil)
+	if !ok {
 		return
 	}
 	patterns, err := parsePatterns(string(raw))
@@ -709,10 +718,8 @@ func (d *daemon) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if d.nodeID != "" {
 		tr.SetStr("node", d.nodeID)
 	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, d.maxBody))
-	if err != nil {
-		tr.SetStr("outcome", "bad_request")
-		d.writeError(w, http.StatusBadRequest, err, "", tr)
+	raw, ok := d.readBody(w, r, tr)
+	if !ok {
 		return
 	}
 	patterns, err := parsePatterns(string(raw))

@@ -68,13 +68,57 @@ func TestHandleScanNoMatchesIsEmptyArray(t *testing.T) {
 	}
 }
 
+// TestHandleScanBodyTooLarge pins every input boundary: a body of exactly
+// the limit is taken whole, and one byte more is refused with a typed 413
+// rather than cut short and acted on. /reload and /cluster/publish bodies
+// are padded with a comment line, so a truncated prefix would still parse.
 func TestHandleScanBodyTooLarge(t *testing.T) {
 	d := testDaemon(t, []string{"ab{2}c"})
-	d.maxBody = 8
-	rec := httptest.NewRecorder()
-	d.handleScan(rec, httptest.NewRequest("POST", "/scan", strings.NewReader("0123456789")))
-	if rec.Code != 413 {
-		t.Errorf("status %d, want 413", rec.Code)
+	d.maxBody = 64
+	d.node = cluster.NewNode(d.svc, cluster.NodeConfig{ID: "a"})
+	t.Cleanup(d.node.Close)
+	srv := httptest.NewServer(d.node.Handler())
+	t.Cleanup(srv.Close)
+	d.coord = cluster.NewCoordinator(cluster.NewClient(cluster.ClientConfig{}), []string{srv.URL})
+
+	for _, tc := range []struct {
+		path    string
+		limit   int
+		prefix  string
+		pad     string
+		handler http.HandlerFunc
+		typed   bool // 413 carries errorResponse kind "body_too_large"
+	}{
+		{"/scan", 64, "abbc", "x", d.handleScan, true},
+		{"/reload", 64, "cd{3}e\n#", "x", d.handleReload, true},
+		{"/cluster/publish", 64, "cd{3}e\n#", "x", d.handlePublish, true},
+		{"/cluster/scan", cluster.MaxBodyBytes, `{"input":"YWJiYw=="}`, " ", d.node.Handler().ServeHTTP, false},
+	} {
+		t.Run(strings.ReplaceAll(tc.path[1:], "/", "_"), func(t *testing.T) {
+			post := func(n int) *httptest.ResponseRecorder {
+				body := tc.prefix + strings.Repeat(tc.pad, n-len(tc.prefix))
+				rec := httptest.NewRecorder()
+				tc.handler(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(body)))
+				return rec
+			}
+			if rec := post(tc.limit); rec.Code != http.StatusOK {
+				t.Fatalf("body of exactly %d bytes = %d, want 200: %s", tc.limit, rec.Code, rec.Body)
+			}
+			gen := d.svc.Generation()
+			rec := post(tc.limit + 1)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("body of %d bytes = %d, want 413: %s", tc.limit+1, rec.Code, rec.Body)
+			}
+			if tc.typed {
+				var resp errorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Kind != "body_too_large" {
+					t.Errorf("413 body kind = %q (%v), want body_too_large", resp.Kind, err)
+				}
+			}
+			if d.svc.Generation() != gen {
+				t.Errorf("generation %d → %d on a refused body", gen, d.svc.Generation())
+			}
+		})
 	}
 }
 

@@ -248,7 +248,7 @@ func (c *Client) post(ctx context.Context, peer, path string, body []byte, resp 
 	if resp == nil {
 		return hres.StatusCode, nil
 	}
-	if err := json.NewDecoder(io.LimitReader(hres.Body, 16<<20)).Decode(resp); err != nil {
+	if err := json.NewDecoder(io.LimitReader(hres.Body, MaxBodyBytes)).Decode(resp); err != nil {
 		return hres.StatusCode, fmt.Errorf("decoding response: %w", err)
 	}
 	return hres.StatusCode, nil
@@ -257,7 +257,8 @@ func (c *Client) post(ctx context.Context, peer, path string, body []byte, resp 
 // GetBytes calls GET peer+path and returns the 2xx response body, with the
 // same retry, breaker, and trace/span propagation semantics as PostJSON —
 // the transport of the fleet observability plane (span fragments, metric
-// snapshots, node health). Bodies are capped at 16 MiB.
+// snapshots, node health). A body past MaxBodyBytes fails with
+// ErrBodyTooLarge.
 func (c *Client) GetBytes(ctx context.Context, peer, path string) ([]byte, error) {
 	if !c.brk.Allow(peer) {
 		return nil, &PeerError{Peer: peer, Path: path, Err: serve.ErrQuarantined}
@@ -342,7 +343,7 @@ func (c *Client) get(ctx context.Context, peer, path string) (int, []byte, error
 		}
 		return hres.StatusCode, nil, &remoteError{Status: hres.StatusCode, Msg: msg}
 	}
-	body, err := io.ReadAll(io.LimitReader(hres.Body, 16<<20))
+	body, err := ReadBody(hres.Body, MaxBodyBytes)
 	if err != nil {
 		return hres.StatusCode, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -434,12 +435,41 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// MaxBodyBytes bounds every JSON body the fleet surface reads: requests
+// at the /cluster/* endpoints and the responses Client decodes.
+const MaxBodyBytes = 16 << 20
+
+// ErrBodyTooLarge reports a body longer than its limit. Handlers answer it
+// with 413 rather than acting on a truncated prefix.
+var ErrBodyTooLarge = errors.New("body too large")
+
+// ReadBody reads r to EOF and returns the whole body, or ErrBodyTooLarge
+// once more than limit bytes arrive — never a silently truncated prefix.
+func ReadBody(r io.Reader, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("%w: exceeds %d bytes", ErrBodyTooLarge, limit)
+	}
+	return body, nil
+}
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST required"})
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body, err := ReadBody(r.Body, MaxBodyBytes)
+	if errors.Is(err, ErrBodyTooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": err.Error()})
+		return false
+	}
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}

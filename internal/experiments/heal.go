@@ -1,11 +1,11 @@
 package experiments
 
-// The heal soak is the self-healing fleet's proof: N in-process bvapd
-// nodes under gossip membership, M concurrent BVAP-S streams, a standby
-// node joining mid-run and a node force-killed mid-stream — WITHOUT any
-// driver-side migration. Unlike the cluster soak (where the driver holds
-// the wire checkpoint and re-places streams itself), the heal driver
-// persists nothing but a position and a match log: recovery is entirely
+// The heal soak is the fleet's proof: N in-process bvapd nodes under
+// gossip membership, M concurrent BVAP-S streams, a standby node joining
+// mid-run, a node force-killed mid-stream, two rolling coordinated
+// publishes and a tenant-quota phase — WITHOUT any driver-side migration.
+// The driver persists nothing but a position and a match log: recovery is
+// entirely
 //
 //	owner := GET /cluster/ring?key=id        (any live node)
 //	POST owner /cluster/session/sync {id, have}
@@ -13,10 +13,13 @@ package experiments
 // and the fleet supplies the durable bytes from replicated checkpoint
 // records (R-way chain replication at quorum), re-delivering the match
 // delta past the driver's durable position. The counted claim: across a
-// join (ownership hand-off) and a kill (orphan adoption), every stream's
-// delivered log equals the origin engine's uninterrupted FindAll, byte
-// for byte, with zero checkpoint loss, and survivor membership converges
-// (equal epochs, victim dead) within the probe-interval bound.
+// join (ownership hand-off), a kill (orphan adoption) and fleet-wide
+// publishes, every stream's delivered log equals the origin engine's
+// uninterrupted FindAll, byte for byte, with zero checkpoint loss, and
+// survivor membership converges (equal epochs, victim dead) within the
+// probe-interval bound. Every publish must land on every live node, and
+// after the streams a metered tenant must be refused while an unmetered
+// tenant never is.
 //
 // With -heal-inject-loss the replication factor drops to 1, so killing a
 // stream's owner destroys the only durable record: the soak must then
@@ -138,6 +141,18 @@ type HealSoakResult struct {
 	BoundMillis    int64  `json:"bound_millis"`
 	FinalEpoch     uint64 `json:"final_epoch"`
 
+	// Control plane: coordinated publishes that landed on every live node,
+	// and the lowest generation any survivor serves afterwards.
+	PublishesOK     int    `json:"publishes_ok"`
+	FinalGeneration uint64 `json:"final_generation"`
+
+	// Tenant quota pressure (informational counts; the invariants —
+	// metered refused at least once, unmetered never refused — are hard
+	// failures).
+	QuotaAllowed uint64 `json:"quota_allowed"`
+	QuotaRefused uint64 `json:"quota_refused"`
+	OpenRefused  uint64 `json:"open_refused"`
+
 	// Hygiene on survivors after every stream closed.
 	SessionsLeft int   `json:"sessions_left"`
 	StreamsOut   int64 `json:"streams_out"`
@@ -146,6 +161,14 @@ type HealSoakResult struct {
 // healSentinel is planted in the served set so every corpus is guaranteed
 // matches that cross chunk and checkpoint boundaries.
 const healSentinel = "hlsoak{2}z"
+
+// The control phases are fixed steps of every run: healPublishes rolling
+// coordinated publishes (the first after the joins, the last after the
+// kills), then healQuotaScans scans per tenant against the survivors.
+const (
+	healPublishes  = 2
+	healQuotaScans = 24
+)
 
 // healMember is one in-process fleet member: service + gossip membership
 // + node surface, with the membership probe loop and the rebalancer
@@ -219,7 +242,15 @@ func (f *healSoakFleet) kill(url string) *healMember {
 }
 
 func newHealMember(i int, patterns []string, opt HealSoakOptions) (*healMember, error) {
-	svc, err := bvap.NewService(patterns, nil)
+	// The metered "limited" tenant's burst sits below the busiest
+	// survivor's share of the round-robin quota scans: at most Nodes+Joins
+	// members survive, so some survivor takes more than
+	// healQuotaScans/(Nodes+Joins+1) of them.
+	svc, err := bvap.NewService(patterns, &bvap.ServiceConfig{
+		TenantQuotas: map[string]bvap.QuotaConfig{
+			"limited": {RatePerSec: 0.001, Burst: float64(healQuotaScans) / float64(opt.Nodes+opt.Joins+1)},
+		},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("heal soak: node %d compile: %v", i, err)
 	}
@@ -407,8 +438,9 @@ func HealSoak(opt HealSoakOptions) (*HealSoakResult, *BenchReport, error) {
 		}
 	}
 
-	// Per-stream corpora and oracles, as in the cluster soak: rotations
-	// of one generated corpus against the origin engine's FindAll.
+	// Per-stream corpora and oracles: rotations of one generated corpus
+	// against the origin engine's FindAll. Sessions stay pinned to the
+	// origin fingerprint across the publishes.
 	base := prof.Input(opt.InputLen, patterns)
 	origin := initial[0].origin
 	corpora := make([][]byte, opt.Streams)
@@ -421,13 +453,16 @@ func HealSoak(opt HealSoakOptions) (*HealSoakResult, *BenchReport, error) {
 		res.ReferenceReports += uint64(len(oracles[i]))
 	}
 
-	if err := runHealStreams(opt, fleet, standby, ids, corpora, oracles, res); err != nil {
+	if err := runHealStreams(opt, fleet, standby, patterns, ids, corpora, oracles, res); err != nil {
+		return nil, nil, err
+	}
+	if err := healQuotaPressure(fleet, res); err != nil {
 		return nil, nil, err
 	}
 
 	// Hygiene: every stream closed, so survivors must hold no sessions
 	// and no checked-out pooled streams.
-	for _, m := range fleet.liveMembers() {
+	for i, m := range fleet.liveMembers() {
 		h := m.node.Health()
 		res.SessionsLeft += h.Sessions
 		res.Handoffs += h.Handoffs
@@ -435,6 +470,9 @@ func HealSoak(opt HealSoakOptions) (*HealSoakResult, *BenchReport, error) {
 		res.StreamsOut += m.origin.StreamsOut()
 		if h.Epoch > res.FinalEpoch {
 			res.FinalEpoch = h.Epoch
+		}
+		if gen := m.svc.Generation(); i == 0 || gen < res.FinalGeneration {
+			res.FinalGeneration = gen
 		}
 	}
 	fleet.mu.RLock()
@@ -452,6 +490,9 @@ func HealSoak(opt HealSoakOptions) (*HealSoakResult, *BenchReport, error) {
 	}
 	if opt.Kills > 0 && res.Recoveries == 0 {
 		return nil, nil, errors.New("heal soak: a node was killed but no driver ran sync recovery")
+	}
+	if res.FinalGeneration < 1+healPublishes {
+		return nil, nil, fmt.Errorf("heal soak: a survivor serves generation %d after %d publishes", res.FinalGeneration, res.PublishesOK)
 	}
 	return res, healBench(opt, res), nil
 }
@@ -480,18 +521,15 @@ func (g *healGate) arrive() {
 func (g *healGate) release() { g.doneOnce.Do(func() { close(g.done) }) }
 
 // runHealStreams drives all streams while the chaos goroutine joins the
-// standby (pinned to the stream whose ownership moves) and kills the
-// owner of the kill-pinned stream mid-flight.
-func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMember, ids []string, corpora [][]byte, oracles [][]bvap.Match, res *HealSoakResult) error {
+// standby (pinned to the stream whose ownership moves), publishes, kills
+// the owner of the kill-pinned stream mid-flight, and publishes again.
+func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMember, patterns []string, ids []string, corpora [][]byte, oracles [][]bvap.Match, res *HealSoakResult) error {
 	type streamOut struct {
 		log        []cluster.Match
 		recoveries int
 		err        error
 	}
 	outs := make([]streamOut, len(ids))
-
-	var progressMu sync.Mutex
-	addProgress := func(int) {}
 
 	// Gates: the engineered moving stream (last id) pins the join; stream
 	// 0 pins the kill — its owner at kill time provably holds a live
@@ -517,6 +555,20 @@ func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMe
 			total += m.node.Health().Handoffs
 		}
 		return total
+	}
+
+	// publish runs one rolling coordinated publish over the live nodes. It
+	// republishes the sentinel and the base set and appends one new
+	// pattern, so pattern indices and the oracles stay valid.
+	coord := cluster.NewCoordinator(fleet.drv, nil)
+	publish := func(round int) error {
+		pats := append(append([]string{}, patterns...), fmt.Sprintf("hlgen%dy{%d}", round, 2+round))
+		if _, err := coord.PublishTo(context.Background(), fleet.liveURLs(),
+			fmt.Sprintf("heal-round-%d", round), pats); err != nil {
+			return fmt.Errorf("heal soak: publish round %d: %w", round, err)
+		}
+		res.PublishesOK++
+		return nil
 	}
 
 	stop := make(chan struct{})
@@ -574,6 +626,10 @@ func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMe
 				m.node.Rebalance(context.Background())
 			}
 		}
+		if err := publish(1); err != nil {
+			chaosErr <- err
+			return
+		}
 		for k := 0; k < opt.Kills; k++ {
 			if k == 0 && killGate != nil {
 				select {
@@ -603,14 +659,15 @@ func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMe
 				chaosErr <- fmt.Errorf("heal soak: post-kill: %w", err)
 				return
 			}
-			progressMu.Lock()
 			res.ConvergeMillis = time.Since(start).Milliseconds()
 			res.BoundMillis = bound.Milliseconds()
 			res.FinalEpoch = epoch
-			progressMu.Unlock()
 			if k == 0 && killGate != nil {
 				killGate.release()
 			}
+		}
+		if err := publish(healPublishes); err != nil {
+			chaosErr <- err
 		}
 	}()
 
@@ -619,7 +676,7 @@ func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMe
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			log, rec, err := driveHealStream(opt, fleet, ids[i], corpora[i], addProgress, gates[i])
+			log, rec, err := driveHealStream(opt, fleet, ids[i], corpora[i], gates[i])
 			outs[i] = streamOut{log: log, recoveries: rec, err: err}
 		}(i)
 	}
@@ -665,7 +722,7 @@ var errHealTerminal = errors.New("terminal recovery failure")
 // delta from the fleet's replicated checkpoint records. A non-nil gate
 // parks the stream after its first durable checkpoint until the chaos
 // event pinned to it has happened.
-func driveHealStream(opt HealSoakOptions, fleet *healSoakFleet, id string, corpus []byte, addProgress func(int), gate *healGate) ([]cluster.Match, int, error) {
+func driveHealStream(opt HealSoakOptions, fleet *healSoakFleet, id string, corpus []byte, gate *healGate) ([]cluster.Match, int, error) {
 	ctx := context.Background()
 	var (
 		log        []cluster.Match
@@ -756,7 +813,6 @@ func driveHealStream(opt HealSoakOptions, fleet *healSoakFleet, id string, corpu
 			continue
 		}
 		log = append(log, resp.Matches...)
-		addProgress(end - pos)
 		pos = end
 		sinceCk++
 		if sinceCk >= opt.CheckpointEvery || pos == len(corpus) {
@@ -805,9 +861,52 @@ func driveHealStream(opt HealSoakOptions, fleet *healSoakFleet, id string, corpu
 	return nil, recoveries, fmt.Errorf("stream %s could not close on any owner", id)
 }
 
+// healQuotaPressure alternates a metered and an unmetered tenant's scans
+// round-robin over the survivors. The metered tenant must hit its bucket;
+// the unmetered tenant must never be refused. The driver client makes one
+// attempt per scan, so a 429 is counted rather than retried.
+func healQuotaPressure(fleet *healSoakFleet, res *HealSoakResult) error {
+	urls := fleet.liveURLs()
+	if len(urls) == 0 {
+		return errors.New("heal soak: no survivors for the quota phase")
+	}
+	scan := func(i int, tenant string) (refused bool, err error) {
+		req := cluster.ScanRequest{Input: []byte("noise-hlsoakkz-noise"), Tenant: tenant}
+		err = fleet.drv.PostJSON(context.Background(), urls[i%len(urls)], "/cluster/scan", req, nil)
+		var pe *cluster.PeerError
+		if errors.As(err, &pe) && pe.Status == http.StatusTooManyRequests {
+			return true, nil
+		}
+		return false, err
+	}
+	for i := 0; i < healQuotaScans; i++ {
+		refused, err := scan(i, "limited")
+		if err != nil {
+			return fmt.Errorf("heal soak: metered scan: %w", err)
+		}
+		if refused {
+			res.QuotaRefused++
+		} else {
+			res.QuotaAllowed++
+		}
+		if refused, err = scan(i, ""); err != nil {
+			return fmt.Errorf("heal soak: unmetered scan: %w", err)
+		} else if refused {
+			res.OpenRefused++
+		}
+	}
+	if res.QuotaRefused == 0 {
+		return fmt.Errorf("heal soak: metered tenant was never refused across %d scans", healQuotaScans)
+	}
+	if res.OpenRefused != 0 {
+		return fmt.Errorf("heal soak: unmetered tenant refused %d times; quotas must be per tenant", res.OpenRefused)
+	}
+	return nil
+}
+
 // healBench shapes the soak as a BENCH-schema report: the correctness
-// cell's symbols and reports are counted; the membership cell carries
-// informational convergence and movement counters.
+// cell's symbols and reports are counted; the membership and control
+// cells carry informational counters.
 func healBench(opt HealSoakOptions, res *HealSoakResult) *BenchReport {
 	rep := &BenchReport{
 		SchemaVersion: BenchSchemaVersion,
@@ -822,7 +921,7 @@ func healBench(opt HealSoakOptions, res *HealSoakResult) *BenchReport {
 			BVSize: perfBVSize, UnfoldTh: perfUnfoldTh,
 			Sample: opt.Sample, InputLen: opt.InputLen,
 			Datasets: []string{opt.Dataset},
-			Archs:    []string{"heal-correctness", "heal-membership"},
+			Archs:    []string{"heal-correctness", "heal-membership", "heal-control"},
 		},
 	}
 	rep.Cells = append(rep.Cells, BenchCell{
@@ -852,6 +951,18 @@ func healBench(opt HealSoakOptions, res *HealSoakResult) *BenchReport {
 			"bound_ms":    uint64(res.BoundMillis),
 		},
 	})
+	rep.Cells = append(rep.Cells, BenchCell{
+		Dataset:  opt.Dataset,
+		Arch:     "heal-control",
+		Patterns: res.Patterns,
+		Stalls: map[string]uint64{
+			"publishes_ok":  uint64(res.PublishesOK),
+			"generation":    res.FinalGeneration,
+			"quota_allowed": res.QuotaAllowed,
+			"quota_refused": res.QuotaRefused,
+			"open_refused":  res.OpenRefused,
+		},
+	})
 	rep.PeakRSSBytes = peakRSSBytes()
 	return rep
 }
@@ -866,6 +977,10 @@ func RenderHealSoak(w io.Writer, res *HealSoakResult) {
 		res.Handoffs, res.Adoptions, res.Recoveries)
 	fmt.Fprintf(w, "  membership:   converged in %dms (bound %dms), final epoch %d\n",
 		res.ConvergeMillis, res.BoundMillis, res.FinalEpoch)
+	fmt.Fprintf(w, "  control:      %d coordinated publishes applied, every survivor at generation >= %d\n",
+		res.PublishesOK, res.FinalGeneration)
+	fmt.Fprintf(w, "  quotas:       metered tenant %d allowed / %d refused, unmetered refused %d\n",
+		res.QuotaAllowed, res.QuotaRefused, res.OpenRefused)
 	fmt.Fprintf(w, "  hygiene:      %d sessions left, %d pooled streams checked out on survivors\n",
 		res.SessionsLeft, res.StreamsOut)
 }
