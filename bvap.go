@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -142,6 +143,9 @@ type Engine struct {
 
 	// fingerprint identifies the compiled behavior (see Fingerprint).
 	fingerprint uint64
+
+	// dispatch picks the runners a byte can move (see dispatch.go).
+	dispatch runnerDispatch
 }
 
 // Fingerprint is a stable 64-bit identity of the engine's compiled
@@ -213,6 +217,7 @@ func (e *Engine) ScanEnergyEstimatePJ(inputBytes int) (float64, bool) {
 func newEngine(res *compiler.Result, patterns []string) *Engine {
 	e := &Engine{res: res, patterns: append([]string(nil), patterns...)}
 	e.fingerprint = computeFingerprint(res, e.patterns)
+	e.dispatch = newRunnerDispatch(res.Machines)
 	e.spool = parascan.NewPool(e.NewStream)
 	e.refPool = parascan.NewPool(e.crossCheckRefs)
 	return e
@@ -303,14 +308,19 @@ const (
 	MetricEngineSymbols      = "bvap_engine_symbols_total"
 	MetricEngineMatches      = "bvap_engine_matches_total"
 	MetricEngineActiveStates = "bvap_engine_active_states"
+	// MetricEngineRunnerSteps counts AHRunner steps; read against
+	// MetricEngineSymbols it shows how many machines a byte moved on
+	// average, out of the engine's supported set.
+	MetricEngineRunnerSteps = "bvap_engine_runner_steps_total"
 )
 
 // streamInstr is the optional per-stream instrumentation; Stream.Step pays
 // a single nil check when it is absent.
 type streamInstr struct {
-	symbols *telemetry.Counter
-	matches *telemetry.Counter
-	active  *telemetry.Gauge
+	symbols     *telemetry.Counter
+	matches     *telemetry.Counter
+	runnerSteps *telemetry.Counter
+	active      *telemetry.Gauge
 }
 
 // Stream matches incrementally over a byte stream. Streams are not safe for
@@ -321,15 +331,26 @@ type Stream struct {
 	hits    []int
 	inst    *streamInstr
 
+	// live holds the runners with a non-empty frontier and pending the
+	// ^-anchored runners that have not consumed their first byte; Step
+	// moves those plus the runners its byte triggers (see dispatch.go).
+	live    []uint64
+	pending []uint64
+
 	// budget / symbolsRun implement the run-time symbol budget of
-	// ScanContext (see SetBudget in context.go).
+	// ScanContext (see SetBudget in context.go); symbolsRun counts every
+	// Step since the last Reset.
 	budget     Budget
 	symbolsRun int64
 }
 
 // NewStream creates an independent matching stream.
 func (e *Engine) NewStream() *Stream {
-	s := &Stream{engine: e}
+	s := &Stream{
+		engine:  e,
+		live:    make([]uint64, e.dispatch.words),
+		pending: append([]uint64(nil), e.dispatch.anchored...),
+	}
 	for _, m := range e.res.Machines {
 		if m == nil {
 			s.runners = append(s.runners, nil)
@@ -341,32 +362,58 @@ func (e *Engine) NewStream() *Stream {
 }
 
 // Instrument attaches a metrics registry to this stream: a symbol counter,
-// a match counter, and an active-NFA-state occupancy gauge updated after
-// every Step. Pass nil to detach. The uninstrumented Step path costs a
-// single nil check and allocates nothing.
+// a match counter, a runner-step counter, and an active-NFA-state occupancy
+// gauge updated after every Step. Pass nil to detach. The uninstrumented
+// Step path costs a single nil check and allocates nothing.
 func (s *Stream) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		s.inst = nil
 		return
 	}
 	s.inst = &streamInstr{
-		symbols: reg.Counter(MetricEngineSymbols, "input symbols processed by the engine"),
-		matches: reg.Counter(MetricEngineMatches, "pattern matches reported by the engine"),
-		active:  reg.Gauge(MetricEngineActiveStates, "active NFA states after the last engine step"),
+		symbols:     reg.Counter(MetricEngineSymbols, "input symbols processed by the engine"),
+		matches:     reg.Counter(MetricEngineMatches, "pattern matches reported by the engine"),
+		runnerSteps: reg.Counter(MetricEngineRunnerSteps, "automaton runner steps taken by the engine"),
+		active:      reg.Gauge(MetricEngineActiveStates, "active NFA states after the last engine step"),
 	}
 }
 
 // Step consumes one byte and returns the indices of the patterns for which
 // a match ends at it. The returned slice is reused across calls.
+//
+// Only the runners the byte can move are stepped: those with a live
+// frontier, the unanchored ones whose initial classes hold b, and the
+// anchored ones still waiting for their first byte. They run in ascending
+// machine index, so hits keep pattern order.
 func (s *Stream) Step(b byte) []int {
 	s.hits = s.hits[:0]
-	for i, r := range s.runners {
-		if r != nil && r.Step(b) {
-			s.hits = append(s.hits, i)
+	s.symbolsRun++
+	d := &s.engine.dispatch
+	trig := d.trig[int(d.byteClass[b])*d.words:]
+	stepped := 0
+	for w, live := range s.live {
+		set := live | trig[w] | s.pending[w]
+		s.pending[w] = 0
+		stepped += bits.OnesCount64(set)
+		for set != 0 {
+			k := bits.TrailingZeros64(set)
+			set &= set - 1
+			i := w<<6 | k
+			r := s.runners[i]
+			if r.Step(b) {
+				s.hits = append(s.hits, i)
+			}
+			if r.ActiveStates() > 0 {
+				live |= 1 << k
+			} else {
+				live &^= 1 << k
+			}
 		}
+		s.live[w] = live
 	}
 	if s.inst != nil {
 		s.inst.symbols.Inc()
+		s.inst.runnerSteps.Add(uint64(stepped))
 		if len(s.hits) > 0 {
 			s.inst.matches.Add(uint64(len(s.hits)))
 		}
@@ -393,6 +440,8 @@ func (s *Stream) Reset() {
 			r.Reset()
 		}
 	}
+	clear(s.live)
+	copy(s.pending, s.engine.dispatch.anchored)
 	s.symbolsRun = 0
 }
 

@@ -68,6 +68,7 @@ func (s *Stream) Restore(ck *StreamCheckpoint) error {
 			r.Restore(ck.snaps[i])
 		}
 	}
+	s.syncDispatch()
 	s.symbolsRun = ck.symbols
 	return nil
 }

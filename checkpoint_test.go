@@ -3,6 +3,7 @@ package bvap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -70,6 +71,42 @@ func TestStreamCheckpointRestore(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("match %d: %+v != reference %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// The symbol cursor counts every consumed symbol, whether it came through
+// Step or ScanContext, exactly once, and the symbol budget meters the same
+// cursor.
+func TestStreamSymbolCursor(t *testing.T) {
+	e := MustCompile([]string{"ab{2}c"})
+	s := e.NewStream()
+	for _, b := range []byte("abbcab") {
+		s.Step(b)
+	}
+	if got := s.Checkpoint().Symbols(); got != 6 {
+		t.Fatalf("after six Steps, checkpoint Symbols() = %d, want 6", got)
+	}
+	if _, err := s.ScanContext(context.Background(), []byte("bc")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Checkpoint().Symbols(); got != 8 {
+		t.Fatalf("after six Steps and a 2-byte scan, Symbols() = %d, want 8", got)
+	}
+
+	// A budget of 10 leaves room for exactly two more symbols.
+	s.SetBudget(Budget{MaxSymbols: 10})
+	ms, err := s.ScanContext(context.Background(), []byte("abbc"))
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Used != 10 {
+		t.Fatalf("budget stop: err %v, want a BudgetError at 10 symbols", err)
+	}
+	if len(ms) != 0 || s.Checkpoint().Symbols() != 10 {
+		t.Fatalf("budgeted scan: %v matches at cursor %d, want none at 10", ms, s.Checkpoint().Symbols())
+	}
+
+	s.Reset()
+	if got := s.Checkpoint().Symbols(); got != 0 {
+		t.Fatalf("after Reset, Symbols() = %d, want 0", got)
 	}
 }
 

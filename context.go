@@ -104,11 +104,10 @@ func (s *Stream) scanContext(ctx context.Context, input []byte, base int) ([]Mat
 			}
 		}
 		for i := off; i < end; i++ {
-			for _, p := range s.Step(input[i]) {
+			for _, p := range s.Step(input[i]) { // Step advances symbolsRun
 				out = append(out, Match{Pattern: p, End: base + i})
 			}
 		}
-		s.symbolsRun += int64(end - off)
 		off = end
 	}
 	return out, nil

@@ -286,6 +286,11 @@ func (r *AHRunner) Reset() {
 	r.lastReads, r.lastSwaps = 0, 0
 }
 
+// Started reports whether the runner has consumed a symbol since its last
+// Reset (or, after Restore, whether the snapshot's runner had). An anchored
+// machine arms its initial states only on the first symbol.
+func (r *AHRunner) Started() bool { return r.started }
+
 // Active reports whether state q is active in the current configuration.
 func (r *AHRunner) Active(q int) bool { return r.activeStamp[q] == r.epoch }
 

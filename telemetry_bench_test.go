@@ -141,3 +141,31 @@ func TestUninstrumentedStepAllocationFree(t *testing.T) {
 		t.Fatalf("uninstrumented baseline Step allocated %.2f times per 512 symbols, want 0", avg)
 	}
 }
+
+// TestUninstrumentedStreamStepAllocationFree is the software engine's
+// counterpart of the hwsim pin above: after a warm-up input, an
+// uninstrumented Stream.Step (runner dispatch included) allocates nothing.
+func TestUninstrumentedStreamStepAllocationFree(t *testing.T) {
+	d, err := DatasetByName("Snort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := append(d.Patterns(20), "^ab{3}c", "x.{10}y")
+	input := d.Input(4096, patterns)
+	engine, err := Compile(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := engine.NewStream()
+	for _, c := range input { // warm up runner scratch buffers
+		s.Step(c)
+	}
+	s.Reset()
+	if avg := testing.AllocsPerRun(10, func() {
+		for _, c := range input[:512] {
+			s.Step(c)
+		}
+	}); avg != 0 {
+		t.Fatalf("uninstrumented Stream.Step allocated %.2f times per 512 symbols, want 0", avg)
+	}
+}

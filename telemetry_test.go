@@ -257,6 +257,12 @@ func TestStreamInstrument(t *testing.T) {
 	if _, ok := byName[MetricEngineActiveStates]; !ok {
 		t.Errorf("%s missing", MetricEngineActiveStates)
 	}
+	// Runner steps: at least one per symbol that moved a machine, at most
+	// one per supported machine per symbol.
+	supported := len(patterns) - engine.Report().Unsupported
+	if v := byName[MetricEngineRunnerSteps]; v <= 0 || v > float64(len(input)*supported) {
+		t.Errorf("%s = %v, want in (0, %d]", MetricEngineRunnerSteps, v, len(input)*supported)
+	}
 	// Detach and keep stepping: counters freeze.
 	s.Instrument(nil)
 	s.Step('a')
