@@ -222,6 +222,38 @@ func BenchmarkBVAPCycleSim(b *testing.B) {
 	}
 }
 
+// BenchmarkBVAPCycleSimSnort measures the simulator over a realistic rule
+// set, as perfbench's simulator op does: 40 Snort-profile rules and a fresh
+// BVAP simulator per op over a seeded 64 KiB corpus. Few machines can move
+// on any byte, so this is where the simulator's first-byte dispatch shows.
+// The simulator's match count is checked against FindAll before timing.
+func BenchmarkBVAPCycleSimSnort(b *testing.B) {
+	p, err := datasets.ByName("Snort")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rules := p.Generate(40)
+	engine := bvap.MustCompile(rules)
+	input := workload.Corpus(1, 64<<10, p.Alphabet, rules, p.MatchRate)
+	run := func() bvap.Result {
+		sim, err := engine.NewSimulator(bvap.ArchBVAP)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.Run(input)
+		return sim.Result()
+	}
+	if got, want := run().Matches, uint64(len(engine.FindAll(input))); got != want {
+		b.Fatalf("simulator reports %d matches, FindAll %d", got, want)
+	}
+	b.SetBytes(int64(len(input)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkBaselineCycleSim measures the unfolding-baseline simulator.
 func BenchmarkBaselineCycleSim(b *testing.B) {
 	patterns := benchPatterns()

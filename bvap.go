@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -144,8 +145,8 @@ type Engine struct {
 	// fingerprint identifies the compiled behavior (see Fingerprint).
 	fingerprint uint64
 
-	// dispatch picks the runners a byte can move (see dispatch.go).
-	dispatch runnerDispatch
+	// dispatch picks the runners a byte can move (see nbva.Dispatch).
+	dispatch nbva.Dispatch
 }
 
 // Fingerprint is a stable 64-bit identity of the engine's compiled
@@ -217,7 +218,7 @@ func (e *Engine) ScanEnergyEstimatePJ(inputBytes int) (float64, bool) {
 func newEngine(res *compiler.Result, patterns []string) *Engine {
 	e := &Engine{res: res, patterns: append([]string(nil), patterns...)}
 	e.fingerprint = computeFingerprint(res, e.patterns)
-	e.dispatch = newRunnerDispatch(res.Machines)
+	e.dispatch = nbva.NewDispatch(res.Machines)
 	e.spool = parascan.NewPool(e.NewStream)
 	e.refPool = parascan.NewPool(e.crossCheckRefs)
 	return e
@@ -333,7 +334,7 @@ type Stream struct {
 
 	// live holds the runners with a non-empty frontier and pending the
 	// ^-anchored runners that have not consumed their first byte; Step
-	// moves those plus the runners its byte triggers (see dispatch.go).
+	// moves those plus the runners its byte triggers (see nbva.Dispatch).
 	live    []uint64
 	pending []uint64
 
@@ -348,8 +349,8 @@ type Stream struct {
 func (e *Engine) NewStream() *Stream {
 	s := &Stream{
 		engine:  e,
-		live:    make([]uint64, e.dispatch.words),
-		pending: append([]uint64(nil), e.dispatch.anchored...),
+		live:    make([]uint64, e.dispatch.Words()),
+		pending: slices.Clone(e.dispatch.Anchored()),
 	}
 	for _, m := range e.res.Machines {
 		if m == nil {
@@ -388,8 +389,7 @@ func (s *Stream) Instrument(reg *telemetry.Registry) {
 func (s *Stream) Step(b byte) []int {
 	s.hits = s.hits[:0]
 	s.symbolsRun++
-	d := &s.engine.dispatch
-	trig := d.trig[int(d.byteClass[b])*d.words:]
+	trig := s.engine.dispatch.Trigger(b)
 	stepped := 0
 	for w, live := range s.live {
 		set := live | trig[w] | s.pending[w]
@@ -441,8 +441,28 @@ func (s *Stream) Reset() {
 		}
 	}
 	clear(s.live)
-	copy(s.pending, s.engine.dispatch.anchored)
+	copy(s.pending, s.engine.dispatch.Anchored())
 	s.symbolsRun = 0
+}
+
+// syncDispatch rebuilds the stream's live and pending sets from its
+// runners, after a Restore replaced their configurations.
+func (s *Stream) syncDispatch() {
+	clear(s.live)
+	clear(s.pending)
+	anchored := s.engine.dispatch.Anchored()
+	for i, r := range s.runners {
+		if r == nil {
+			continue
+		}
+		bit := uint64(1) << (i & 63)
+		if r.ActiveStates() > 0 {
+			s.live[i>>6] |= bit
+		}
+		if anchored[i>>6]&bit != 0 && !r.Started() {
+			s.pending[i>>6] |= bit
+		}
+	}
 }
 
 // ParsePattern validates a single pattern, returning a descriptive error

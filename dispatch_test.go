@@ -32,7 +32,7 @@ func TestDispatchCheckpointResume(t *testing.T) {
 	e := MustCompile(dispatchPatterns)
 	input := []byte(dispatchInput)
 	want := e.FindAll(input)
-	anchored := e.dispatch.anchored[0]
+	anchored := e.dispatch.Anchored()[0]
 	if anchored != 1<<0|1<<2|1<<5 {
 		t.Fatalf("anchored set %b, want machines 0, 2 and 5", anchored)
 	}

@@ -2,6 +2,8 @@ package hwsim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"bvap/internal/archmodel"
 	"bvap/internal/faults"
@@ -15,13 +17,23 @@ import (
 type BVAPSystem struct {
 	stats    Stats
 	machines []*bvapMachine
+	// dispatch picks the machines a symbol can move; live holds the
+	// machines stepCore must keep visiting and pending the ^-anchored ones
+	// that have not consumed their first symbol (see nbva.Dispatch and
+	// syncDispatch).
+	dispatch nbva.Dispatch
+	live     []uint64
+	pending  []uint64
 	// tiles mirrors the config placement; activity is attributed to
 	// tiles in proportion to the STEs each tile hosts of a machine.
 	tiles []bvapTile
-	// arrayStall[i] accumulates stall cycles of array i this step.
-	arrayStall []int
-	arrays     int
-	streaming  bool
+	// arrayStall[i] accumulates stall cycles of array i this step. Each
+	// step starts from staticStall[i], the stall the always-on-BVM
+	// ablation charges every symbol for the BV machines of array i.
+	arrayStall  []int
+	staticStall []int
+	arrays      int
+	streaming   bool
 	// maxWordsAll is the largest virtual word count across machines; in
 	// streaming mode (BVAP-S) the system clock is set by this.
 	maxWordsAll int
@@ -94,6 +106,33 @@ func (s *BVAPSystem) SetVariant(v Variant) {
 		delta += archmodel.NaivePEAreaUm2() - archmodel.BVMAreaUm2
 	}
 	s.stats.SetAreaUm2(s.stats.AreaUm2 + delta*1.05*float64(len(s.tiles)))
+
+	// With event-driven clocking ablated, the Global Controller stalls
+	// every BV machine's array for a BVM phase on every symbol, whether
+	// or not the machine is stepped.
+	clear(s.staticStall)
+	if s.streaming || v.EventDriven {
+		return
+	}
+	for _, m := range s.machines {
+		if m == nil || m.bvStates == 0 {
+			continue
+		}
+		stall := v.Routing.StallCycles(s.bvWords(m))
+		for _, tile := range m.tiles {
+			a := s.tiles[tile].array
+			s.staticStall[a] = max(s.staticStall[a], stall)
+		}
+	}
+}
+
+// bvWords is the word count machine m's BVM phase processes under the
+// current variant.
+func (s *BVAPSystem) bvWords(m *bvapMachine) int {
+	if !s.variant.VirtualSizing && m.bvStates > 0 {
+		return archmodel.PhysicalBVWords
+	}
+	return m.words
 }
 
 type bvapMachine struct {
@@ -107,6 +146,14 @@ type bvapMachine struct {
 	// prevBVActive tracks the previous cycle's active BV count so BV
 	// resets are charged once per deactivation.
 	prevBVActive int
+}
+
+// live reports whether stepping m can charge anything: its frontier is
+// non-empty, or a BV reset is still owed for its last active BV count (a
+// Reset or a latch upset can empty the frontier first; BVAP-S charges the
+// reset on the machine's next step).
+func (m *bvapMachine) live() bool {
+	return m.runner.ActiveStates() > 0 || m.prevBVActive != 0
 }
 
 type bvapTile struct {
@@ -150,6 +197,7 @@ func NewBVAPSystem(cfg *hwconf.Config, streaming bool) (*BVAPSystem, error) {
 		sys.arrays = 1
 	}
 	sys.arrayStall = make([]int, sys.arrays)
+	sys.staticStall = make([]int, sys.arrays)
 
 	prov := cfg.ProvenanceIndex()
 	for i := range cfg.Machines {
@@ -191,6 +239,15 @@ func NewBVAPSystem(cfg *hwconf.Config, streaming bool) (*BVAPSystem, error) {
 		sys.machines = append(sys.machines, bm)
 	}
 	sys.stats.finalizeAreaF(tileUnits)
+	ahs := make([]*nbva.AHNBVA, len(sys.machines))
+	for i, m := range sys.machines {
+		if m != nil {
+			ahs[i] = m.ah
+		}
+	}
+	sys.dispatch = nbva.NewDispatch(ahs)
+	sys.live = make([]uint64, sys.dispatch.Words())
+	sys.pending = slices.Clone(sys.dispatch.Anchored())
 	sys.ends = make([][]int, len(cfg.Machines))
 	sys.tileActive = make([]float64, len(sys.tiles))
 	sys.tileScale = make([]float64, len(sys.tiles))
@@ -254,7 +311,28 @@ func (s *BVAPSystem) Reset() {
 			m.runner.Reset()
 		}
 	}
+	s.syncDispatch()
 	s.pos = 0
+}
+
+// syncDispatch rebuilds the live and pending sets from the machines, after
+// Reset or Restore replaced their configurations.
+func (s *BVAPSystem) syncDispatch() {
+	clear(s.live)
+	clear(s.pending)
+	anchored := s.dispatch.Anchored()
+	for i, m := range s.machines {
+		if m == nil {
+			continue
+		}
+		bit := uint64(1) << (i & 63)
+		if m.live() {
+			s.live[i>>6] |= bit
+		}
+		if anchored[i>>6]&bit != 0 && !m.runner.Started() {
+			s.pending[i>>6] |= bit
+		}
+	}
 }
 
 // Run processes a byte stream.
@@ -282,9 +360,7 @@ func (s *BVAPSystem) Step(b byte) {
 func (s *BVAPSystem) stepCore(b byte) {
 	st := &s.stats
 	st.Symbols++
-	for i := range s.arrayStall {
-		s.arrayStall[i] = 0
-	}
+	copy(s.arrayStall, s.staticStall)
 
 	// Per-stage accumulators for the sink, summed locally and emitted
 	// once per step. Every update is guarded on sinkOn so the
@@ -307,118 +383,132 @@ func (s *BVAPSystem) stepCore(b byte) {
 	for i := range tileActive {
 		tileActive[i] = 0
 	}
-	for _, m := range s.machines {
-		if m == nil {
-			continue
-		}
-		matched := m.runner.Step(b)
-		if matched {
-			st.Matches++
-			matchesThisStep++
-			if s.recordEnds {
-				s.ends[m.index] = append(s.ends[m.index], s.pos)
-			}
-			if s.io != nil {
-				s.ioReports[s.tiles[m.tiles[0]].array]++
-			}
-		}
-		active := float64(m.runner.ActiveStates())
-		if sinkOn {
-			activeTotal += active
-		}
-		if xsinkOn {
-			s.activeScratch = m.runner.AppendActive(s.activeScratch[:0])
-			s.xsink.MachineActivity(m.index, m.runner.ActiveStates(), s.activeScratch)
-		}
-		for ti, tile := range m.tiles {
-			tileActive[tile] += active * m.share[ti]
-		}
-		// Bit-vector-processing phase: event-driven in BVAP mode,
-		// every cycle in BVAP-S mode or with event-driven clocking
-		// ablated.
-		bvActive := m.runner.ActiveBVStates()
-		words := m.words
-		if !s.variant.VirtualSizing && m.bvStates > 0 {
-			words = archmodel.PhysicalBVWords
-		}
-		alwaysOn := s.streaming || (!s.variant.EventDriven && m.bvStates > 0)
-		if bvActive > 0 || alwaysOn {
-			reads := m.runner.ReadOps()
-			if parityLive {
-				mops := reads + m.runner.SwapOps()
-				parityOps += mops
-				if xsinkOn {
-					s.xsink.MachineStageEnergy(m.index, StageParity,
-						float64(mops)*parityOverheadFrac*archmodel.BitVector.EnergyPJ(1))
+	// Only the machines the symbol can move are stepped (see
+	// nbva.Dispatch), in ascending machine index so matches, ends and I/O
+	// reports keep their order. Every charge below is zero for a machine
+	// that is not live and not triggered, so skipping it leaves every
+	// figure bit-identical.
+	trig := s.dispatch.Trigger(b)
+	for w, live := range s.live {
+		set := live | trig[w] | s.pending[w]
+		s.pending[w] = 0
+		for set != 0 {
+			k := bits.TrailingZeros64(set)
+			set &= set - 1
+			m := s.machines[w<<6|k]
+			matched := m.runner.Step(b)
+			if matched {
+				st.Matches++
+				matchesThisStep++
+				if s.recordEnds {
+					s.ends[m.index] = append(s.ends[m.index], s.pos)
+				}
+				if s.io != nil {
+					s.ioReports[s.tiles[m.tiles[0]].array]++
 				}
 			}
-			bvFrac := 0.0
-			if m.bvStates > 0 {
-				bvFrac = float64(bvActive) / float64(m.bvStates)
-			}
-			e := archmodel.BVMReadEnergyPJ(reads)
-			st.BVMEnergyPJ += e
+			active := float64(m.runner.ActiveStates())
 			if sinkOn {
-				snkRead += e
+				activeTotal += active
 			}
 			if xsinkOn {
-				s.xsink.MachineStageEnergy(m.index, StageBVMRead, e)
+				s.activeScratch = m.runner.AppendActive(s.activeScratch[:0])
+				s.xsink.MachineActivity(m.index, m.runner.ActiveStates(), s.activeScratch)
 			}
-			if s.variant.NaivePE {
-				e = archmodel.NaivePESwapEnergyPJ(m.runner.SwapOps(), words)
+			for ti, tile := range m.tiles {
+				tileActive[tile] += active * m.share[ti]
+			}
+			// Bit-vector-processing phase: event-driven in BVAP mode,
+			// every cycle in BVAP-S mode or with event-driven clocking
+			// ablated.
+			bvActive := m.runner.ActiveBVStates()
+			words := s.bvWords(m)
+			alwaysOn := s.streaming || (!s.variant.EventDriven && m.bvStates > 0)
+			if bvActive > 0 || alwaysOn {
+				reads := m.runner.ReadOps()
+				if parityLive {
+					mops := reads + m.runner.SwapOps()
+					parityOps += mops
+					if xsinkOn {
+						s.xsink.MachineStageEnergy(m.index, StageParity,
+							float64(mops)*parityOverheadFrac*archmodel.BitVector.EnergyPJ(1))
+					}
+				}
+				bvFrac := 0.0
+				if m.bvStates > 0 {
+					bvFrac = float64(bvActive) / float64(m.bvStates)
+				}
+				e := archmodel.BVMReadEnergyPJ(reads)
 				st.BVMEnergyPJ += e
 				if sinkOn {
-					snkSwap += e
+					snkRead += e
 				}
 				if xsinkOn {
-					s.xsink.MachineStageEnergy(m.index, StageBVMSwap, e)
+					s.xsink.MachineStageEnergy(m.index, StageBVMRead, e)
 				}
-			} else {
-				base := archmodel.BVMSwapEnergyPJ(
-					m.runner.ActiveStorageBVs(), m.runner.ActiveSet1BVs(),
-					words, bvFrac)
-				e = base * s.variant.Routing.MFCBEnergyScale()
-				st.BVMEnergyPJ += e
-				// Attribute the crossbar overhead beyond the
-				// semi-parallel baseline to the routing stage.
-				if sinkOn {
-					if e > base {
-						snkSwap += base
-						snkRoute += e - base
-					} else {
+				if s.variant.NaivePE {
+					e = archmodel.NaivePESwapEnergyPJ(m.runner.SwapOps(), words)
+					st.BVMEnergyPJ += e
+					if sinkOn {
 						snkSwap += e
 					}
-				}
-				if xsinkOn {
-					if e > base {
-						s.xsink.MachineStageEnergy(m.index, StageBVMSwap, base)
-						s.xsink.MachineStageEnergy(m.index, StageRouting, e-base)
-					} else {
+					if xsinkOn {
 						s.xsink.MachineStageEnergy(m.index, StageBVMSwap, e)
 					}
+				} else {
+					base := archmodel.BVMSwapEnergyPJ(
+						m.runner.ActiveStorageBVs(), m.runner.ActiveSet1BVs(),
+						words, bvFrac)
+					e = base * s.variant.Routing.MFCBEnergyScale()
+					st.BVMEnergyPJ += e
+					// Attribute the crossbar overhead beyond the
+					// semi-parallel baseline to the routing stage.
+					if sinkOn {
+						if e > base {
+							snkSwap += base
+							snkRoute += e - base
+						} else {
+							snkSwap += e
+						}
+					}
+					if xsinkOn {
+						if e > base {
+							s.xsink.MachineStageEnergy(m.index, StageBVMSwap, base)
+							s.xsink.MachineStageEnergy(m.index, StageRouting, e-base)
+						} else {
+							s.xsink.MachineStageEnergy(m.index, StageBVMSwap, e)
+						}
+					}
 				}
-			}
-			e = archmodel.BVMResetEnergyPJ(m.prevBVActive - bvActive)
-			st.BVMEnergyPJ += e
-			if sinkOn {
-				snkReset += e
-			}
-			if xsinkOn {
-				s.xsink.MachineStageEnergy(m.index, StageBVMReset, e)
-			}
-			if (bvActive > 0 || alwaysOn) && !s.streaming {
-				// The Global Controller stalls the machine's
-				// array for the BVM phase (§6).
-				stall := s.variant.Routing.StallCycles(words)
-				for _, tile := range m.tiles {
-					a := s.tiles[tile].array
-					if stall > s.arrayStall[a] {
-						s.arrayStall[a] = stall
+				e = archmodel.BVMResetEnergyPJ(m.prevBVActive - bvActive)
+				st.BVMEnergyPJ += e
+				if sinkOn {
+					snkReset += e
+				}
+				if xsinkOn {
+					s.xsink.MachineStageEnergy(m.index, StageBVMReset, e)
+				}
+				if bvActive > 0 && !s.streaming {
+					// The Global Controller stalls the machine's
+					// array for the BVM phase (§6); the always-on
+					// ablation's stall is already in staticStall.
+					stall := s.variant.Routing.StallCycles(words)
+					for _, tile := range m.tiles {
+						a := s.tiles[tile].array
+						if stall > s.arrayStall[a] {
+							s.arrayStall[a] = stall
+						}
 					}
 				}
 			}
+			m.prevBVActive = bvActive
+			if m.live() {
+				live |= 1 << k
+			} else {
+				live &^= 1 << k
+			}
 		}
-		m.prevBVActive = bvActive
+		s.live[w] = live
 	}
 
 	// Per-tile SM/ST/wire energy: every placed tile sees every symbol.

@@ -131,6 +131,7 @@ func (s *BVAPSystem) Restore(c faults.Checkpoint) {
 		m.runner.Restore(ck.runners[i].snap)
 		m.prevBVActive = ck.runners[i].prevBV
 	}
+	s.syncDispatch()
 	for i := range s.ends {
 		if ck.endsLen[i] <= len(s.ends[i]) {
 			s.ends[i] = s.ends[i][:ck.endsLen[i]]
@@ -248,6 +249,9 @@ func (s *BVAPSystem) injectSTECorrupt(in *faults.Injector, pos uint64, mi int, m
 	}
 	q := in.Pick(faults.SiteSTEActive, pos, mi, 3, m.ah.Size())
 	if m.runner.ForceActive(q) {
+		// The upset may wake an idle machine, which stepCore must now
+		// visit.
+		s.live[mi>>6] |= 1 << (mi & 63)
 		in.Record(faults.Event{
 			Pos: pos, Site: faults.SiteSTEActive,
 			Machine: mi, State: q, Bit: -1, Array: -1,

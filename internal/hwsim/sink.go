@@ -159,6 +159,9 @@ type ProvenanceSink interface {
 	// and the ids of the active states. ids is the simulator's scratch
 	// buffer: valid only for the duration of the call, in the runner's
 	// deterministic commit order. It may be nil when the machine is idle.
+	// BVAPSystem reports it for the machines stepped on a symbol (see
+	// nbva.Dispatch); a machine it does not report had no active state.
+	// MachineStageEnergy likewise arrives only for stepped machines.
 	MachineActivity(m int, active int, ids []int)
 	// TileActivity reports tile t's active-STE occupancy for this step
 	// (fractional: machines spanning several tiles split their activity by

@@ -250,6 +250,15 @@ func (p *Profiler) MachineActivitySteps(m int) uint64 {
 	return p.machineActivity[m]
 }
 
+// MachineStageEnergyPJ returns the energy of one stage attributed to
+// machine m (a weight, see hwsim.ProvenanceSink).
+func (p *Profiler) MachineStageEnergyPJ(m int, stage hwsim.Stage) float64 {
+	if m < 0 || m >= len(p.machineStage) || stage < 0 || stage >= hwsim.NumStages {
+		return 0
+	}
+	return p.machineStage[m][stage]
+}
+
 // TileHeatmap returns the per-tile occupancy heatmap (nil when the run had
 // no tile placement, e.g. the baseline architectures).
 func (p *Profiler) TileHeatmap() *Heatmap { return p.tileHeat }

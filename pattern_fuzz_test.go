@@ -116,9 +116,9 @@ const maxFuzzUnfolded = 256
 // grammar bytes become one to three bounded-repetition regexes (nested
 // counters, classes, alternation, (?i), a leading ^), compiled as one set.
 // The fuzzed input is folded onto the patterns' alphabet, and the match
-// ends must agree across FindAll, per-pattern swmatch, FindAllParallel, and
-// a Stream fed in two parts around a Checkpoint/Restore onto a fresh
-// stream. Run with `go test -fuzz FuzzPatternsAgainstReference .` for a
+// ends must agree across FindAll, per-pattern swmatch, the BVAP and BVAP-S
+// simulators, FindAllParallel, and a Stream fed in two parts around a
+// Checkpoint/Restore onto a fresh stream. Run with `go test -fuzz FuzzPatternsAgainstReference .` for a
 // longer campaign; CI runs a 15-second smoke.
 func FuzzPatternsAgainstReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, []byte("abcabc"), uint16(3))
@@ -173,6 +173,26 @@ func FuzzPatternsAgainstReference(f *testing.F) {
 			}
 			if fmt.Sprint(ends[i]) != fmt.Sprint(ref) {
 				t.Fatalf("set %q, pattern %q on %q:\nFindAll %v\nswmatch %v", patterns, p, input, ends[i], ref)
+			}
+		}
+
+		// The BVAP and BVAP-S simulators run the machines rebuilt from the
+		// hardware image under their own dispatch; each supported
+		// machine's ends must be FindAll's for its pattern.
+		for _, arch := range []Architecture{ArchBVAP, ArchBVAPStreaming} {
+			sim, err := e.NewSimulator(arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.bvapSys.RecordMatchEnds(true)
+			sim.Run(input)
+			for i, p := range patterns {
+				if !rep.Patterns[i].Supported {
+					continue
+				}
+				if got := sim.bvapSys.MatchEnds(i); fmt.Sprint(got) != fmt.Sprint(ends[i]) {
+					t.Fatalf("set %q, pattern %q on %q:\n%v %v\nFindAll %v", patterns, p, input, arch, got, ends[i])
+				}
 			}
 		}
 
